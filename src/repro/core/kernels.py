@@ -327,10 +327,11 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
     return result
 
 
-#: Above this many ``n_categories * n_groups`` score cells the vote
-#: kernel switches from the dense score matrix to the sparse
-#: claimed-cells path (same winners; see the kernel docstring).
-VOTE_DENSE_SCORE_CELLS = 4_000_000
+#: Above this many ``n_categories * n_groups`` score cells *per claim*
+#: the vote kernel switches from the dense score matrix to the sparse
+#: claimed-cells path (same winners; see the kernel docstring).  The
+#: dense matrix is thereby bounded at 8 * this many bytes per claim.
+VOTE_DENSE_CELLS_PER_CLAIM = 8
 
 
 @_profiled
@@ -346,11 +347,23 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
     optionally supplies the precomputed :func:`effective_claim_weights`
     pair (pure reuse, bit-identical).
 
-    Past :data:`VOTE_DENSE_SCORE_CELLS` score cells the dense
-    ``(n_categories, n_groups)`` matrix is replaced by a sparse
-    reduction over the *claimed* ``(group, code)`` cells only, keeping
-    peak memory proportional to the number of claims instead of the
-    category vocabulary.  The winners are identical: per-cell scores
+    The path is chosen by score cells per claim, ``n_categories *
+    n_groups / n_claims``.  Past :data:`VOTE_DENSE_CELLS_PER_CLAIM` the
+    dense ``(n_categories, n_groups)`` matrix, whose zero-fill and
+    strided ``argmax`` grow with the cell count, is replaced by a
+    sparse reduction over the *claimed* ``(group, code)`` cells only,
+    whose sort grows with the claim count alone.  Re-measured on a
+    2-CPU x86 VM (NumPy 2.4), the crossover lies between ~7 cells per
+    claim (1,000 groups over 35.5k claims: dense / sparse time 0.87 at
+    6, 1.22 at 8) and ~16 (8,900 groups over 71k claims: 0.87 at 10,
+    1.00 at 16); ``docs/ARCHITECTURE.md`` has the full sweep.  The same
+    rule bounds the dense matrix at ``8 * VOTE_DENSE_CELLS_PER_CLAIM``
+    bytes per claim, so peak memory stays proportional to the claims
+    instead of the category vocabulary.  A compiled kernel override
+    (the numba tier) runs its own single-pass vote and bypasses the
+    choice.
+
+    The two paths' winners are identical: per-cell scores
     accumulate in claim order exactly like the dense ``np.add.at``,
     effective weights are non-negative (the zero-total fallback makes
     every occupied group's total positive), so an unclaimed category's
@@ -370,7 +383,8 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
         core(codes, weights, np.asarray(indptr, dtype=np.int64),
              n_categories, MISSING_CODE, winners)
         return winners
-    if n_categories * n_groups > VOTE_DENSE_SCORE_CELLS:
+    if n_categories * n_groups > \
+            VOTE_DENSE_CELLS_PER_CLAIM * codes.shape[0]:
         return _sparse_weighted_vote(codes, weights, group_of_claim,
                                      n_groups, n_categories)
     scores = np.zeros((n_categories, n_groups), dtype=np.float64)

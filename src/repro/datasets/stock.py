@@ -118,6 +118,30 @@ def _fmt(value: float, decimals: int = 2) -> str:
     return f"{value:.{decimals}f}"
 
 
+def _encode_formatted(codec: CategoricalCodec,
+                      values: np.ndarray) -> np.ndarray:
+    """``codec.encode(_fmt(v))`` for every ``v`` of ``values``, as int32.
+
+    Bit-identical to encoding value by value in row-major order, but
+    formats each distinct float once: a fact property holds ~20x fewer
+    distinct values than observations.  Values are told apart by bit
+    pattern, so ``-0.0`` (label ``"-0.00"``) never merges with ``0.0``;
+    distinct floats that format alike (``1.001``, ``1.004``) still share
+    one label through the codec.  Labels are encoded in the order their
+    first value appears, which is the order the per-value loop would
+    learn them in, so the codec's label order is unchanged too.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    distinct, first, inverse = np.unique(
+        flat.view(np.int64), return_index=True, return_inverse=True)
+    codes = np.empty(distinct.shape[0], dtype=np.int32)
+    seen_order = np.argsort(first)
+    for slot, value in zip(seen_order.tolist(),
+                           flat[first[seen_order]].tolist()):
+        codes[slot] = codec.encode(_fmt(value))
+    return codes[inverse].reshape(np.shape(values))
+
+
 def generate_stock_dataset(
     config: StockConfig | None = None,
     seed: int | None = None,
@@ -264,7 +288,7 @@ def generate_stock_dataset(
                 feed_values[f] = np.where(
                     wrong, np.where(stale, stale_flat, perturbed), truth_flat
                 )
-            matrix = np.empty((k, n), dtype=np.int32)
+            observations = np.empty((k, n))
             for src in range(k):
                 observed = feed_values[feed_of_source[src]]
                 typo = rng.random(n) < transcription[src]
@@ -277,10 +301,8 @@ def generate_stock_dataset(
                         observed + ticks * np.maximum(np.abs(observed), 1.0),
                         observed,
                     )
-                matrix[src] = np.fromiter(
-                    (codec.encode(_fmt(v)) for v in observed),
-                    dtype=np.int32, count=n,
-                )
+                observations[src] = observed
+            matrix = _encode_formatted(codec, observations)
             matrix[missing] = MISSING_CODE
             properties.append(
                 PropertyObservations(schema=prop, values=matrix, codec=codec)
@@ -305,8 +327,8 @@ def generate_stock_dataset(
             columns.append(np.where(labeled, col, np.nan))
         else:
             codec = codecs[prop.name]
-            codes = codec.encode_many(
-                [_fmt(v) for v in fact_truth_values[prop.name].ravel()]
+            codes = _encode_formatted(
+                codec, fact_truth_values[prop.name].ravel()
             )
             columns.append(
                 np.where(labeled, codes, MISSING_CODE).astype(np.int32)

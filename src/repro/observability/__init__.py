@@ -86,6 +86,7 @@ from .records import (
     SCHEMA_VERSION,
     benchmark_record,
     experiment_record,
+    flush_record,
     ingest_record,
     iteration_record,
     mapreduce_job_record,
@@ -136,6 +137,7 @@ __all__ = [
     "experiment_record",
     "exposition_metric_names",
     "flatten_snapshot",
+    "flush_record",
     "ingest_record",
     "iteration_record",
     "mapreduce_job_record",

@@ -28,8 +28,9 @@ import numpy as np
 #: concurrent-serving provenance fields ``n_shards`` / ``ingest_mode``
 #: on ``ingest`` and ``read`` records, and made the read cache split
 #: optional (sharded routers report reads without a router-level
-#: hit/miss notion).
-SCHEMA_VERSION = 4
+#: hit/miss notion).  v5 added the ``flush`` event, which carries the
+#: windows sealed by ``TruthService.flush``.
+SCHEMA_VERSION = 5
 
 #: Glossary of every field a trace record can carry — and of every
 #: metric name the live :class:`~repro.observability.metrics.MetricsRegistry`
@@ -409,6 +410,26 @@ def ingest_record(*, ingested_claims: int, new_objects: int,
         windows_sealed=int(windows_sealed),
         dirty_objects=int(dirty_objects),
         recomputed_objects=int(recomputed_objects),
+        elapsed_seconds=elapsed_seconds,
+        n_shards=None if n_shards is None else int(n_shards),
+        ingest_mode=ingest_mode,
+    )
+
+
+def flush_record(*, windows_sealed: int,
+                 elapsed_seconds: float | None = None,
+                 n_shards: int | None = None,
+                 ingest_mode: str | None = None) -> dict:
+    """A ``flush`` record: one TruthService ``flush`` (end of stream).
+
+    Carries the windows the flush sealed, which no ``ingest`` record
+    reports, so that ``windows_sealed`` summed over ``ingest`` and
+    ``flush`` records equals the service's lifetime counter.  Sharded
+    routers stamp ``n_shards`` and ``ingest_mode`` as on ``ingest``.
+    """
+    return _record(
+        "flush",
+        windows_sealed=int(windows_sealed),
         elapsed_seconds=elapsed_seconds,
         n_shards=None if n_shards is None else int(n_shards),
         ingest_mode=ingest_mode,

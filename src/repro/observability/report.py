@@ -123,16 +123,19 @@ class RunReport:
         return totals
 
     def serving_totals(self) -> dict:
-        """Serving activity totalled over ``ingest``/``read`` records.
+        """Serving activity totalled over ``ingest``/``flush``/``read``
+        records.
 
         Returns an empty dict when the trace carries no serving
         records; otherwise ingest batches, total ingested claims,
-        windows sealed, recompute volume, reads, and the lifetime cache
-        hit rate (1.0 for a read-free trace).
+        windows sealed (by ingest batches and flushes), recompute
+        volume, reads, and the lifetime cache hit rate (1.0 for a
+        read-free trace).
         """
         ingests = self.events("ingest")
+        flushes = self.events("flush")
         reads = self.events("read")
-        if not ingests and not reads:
+        if not ingests and not flushes and not reads:
             return {}
         hits = sum(r.get("cache_hits", 0) for r in reads)
         read_objects = sum(r.get("read_objects", 0) for r in reads)
@@ -141,7 +144,7 @@ class RunReport:
             "ingested_claims": sum(r.get("ingested_claims", 0)
                                    for r in ingests),
             "windows_sealed": sum(r.get("windows_sealed", 0)
-                                  for r in ingests),
+                                  for r in ingests + flushes),
             "recomputed_objects": sum(r.get("recomputed_objects", 0)
                                       for r in ingests),
             "read_calls": len(reads),

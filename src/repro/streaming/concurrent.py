@@ -56,7 +56,7 @@ import numpy as np
 from ..data.encoding import CategoricalCodec
 from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
-from ..observability import ingest_record, read_record
+from ..observability import flush_record, ingest_record, read_record
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracer import Tracer
 from .icrh import ICRHConfig, IncrementalCRH
@@ -722,9 +722,11 @@ class ShardedTruthService:
 
         Mirrors :meth:`TruthService.flush`: repeatedly seals the
         oldest ``window`` pending timestamps through the global model.
-        Returns how many windows were sealed.
+        Returns how many windows were sealed, and emits one ``flush``
+        trace record carrying them when tracing.
         """
         with self._ingest_lock:
+            started = time.perf_counter()
             self.drain()
             sealed = 0
             while self._pending:
@@ -732,6 +734,13 @@ class ShardedTruthService:
                 sealed += 1
             self.drain()
             self._update_gauges()
+            if self._tracing():
+                self.tracer.emit(flush_record(
+                    windows_sealed=sealed,
+                    elapsed_seconds=time.perf_counter() - started,
+                    n_shards=self.n_shards,
+                    ingest_mode=self.ingest_mode,
+                ))
             return sealed
 
     def recompute_all(self) -> int:

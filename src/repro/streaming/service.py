@@ -52,7 +52,7 @@ from ..data.io import load_dataset, save_dataset
 from ..data.records import Record
 from ..data.schema import DatasetSchema
 from ..data.table import TruthTable
-from ..observability import ingest_record, read_record
+from ..observability import flush_record, ingest_record, read_record
 from ..observability.metrics import MetricsRegistry
 from ..observability.profiling import Profiler, activate, span
 from ..observability.tracer import Tracer
@@ -409,7 +409,10 @@ class TruthService:
         Returns how many windows were sealed.  After ``ingest`` of a
         whole stream plus ``flush``, the service state matches a batch
         :func:`~repro.streaming.icrh.icrh` run over the same stream.
+        Emits one ``flush`` trace record carrying the seals when
+        tracing.
         """
+        started = time.perf_counter()
         sealed = 0
         with activate(self.profiler):
             while self._pending:
@@ -418,6 +421,11 @@ class TruthService:
                 sealed += 1
         self._update_gauges()
         self._publish()
+        if self._tracing():
+            self.tracer.emit(flush_record(
+                windows_sealed=sealed,
+                elapsed_seconds=time.perf_counter() - started,
+            ))
         return sealed
 
     def _seal_ready(self) -> int:

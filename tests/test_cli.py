@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import re
+
 import pytest
 
 from repro.cli import _EXPERIMENTS, build_parser, main
@@ -76,6 +78,17 @@ class TestServeSim:
         assert trace.exists()
         assert (snap / "service.json").exists()
         assert (snap / "claims.npz").exists()
+
+    @pytest.mark.parametrize("topology", [[], ["--shards", "2"]])
+    def test_trace_summary_counts_flush_seals(self, capsys, tmp_path,
+                                              topology):
+        trace = tmp_path / "serve.jsonl"
+        assert main(["serve-sim", "--cities", "4", "--days", "12",
+                     "--trace", str(trace), *topology]) == 0
+        sealed = re.search(r"sealed (\d+) windows",
+                           capsys.readouterr().out).group(1)
+        assert main(["trace", "summarize", str(trace)]) == 0
+        assert f"{sealed} window(s) sealed" in capsys.readouterr().out
 
     def test_serve_sim_listed(self, capsys):
         assert main(["list"]) == 0

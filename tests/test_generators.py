@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import validate_dataset, validate_truth_alignment
+from repro.data.encoding import CategoricalCodec
 from repro.data.schema import PropertyKind
 from repro.datasets import (
     ADULT_ROUNDING,
@@ -20,6 +21,7 @@ from repro.datasets import (
     reliable_unreliable_mix,
     simulate_sources,
 )
+from repro.datasets import stock as stock_module
 from repro.metrics import rank_agreement, true_source_reliability
 
 
@@ -119,6 +121,60 @@ class TestStockGenerator:
         with pytest.raises(ValueError):
             StockConfig(official_fraction=0.0)
 
+
+
+def _encode_per_value(codec, values):
+    """The reference encoding: one ``_fmt`` + ``encode`` per value."""
+    return np.fromiter(
+        (codec.encode(stock_module._fmt(v)) for v in np.ravel(values)),
+        dtype=np.int32, count=np.size(values),
+    ).reshape(np.shape(values))
+
+
+class TestStockEncoding:
+    """Encoding each distinct value once matches the per-value loop."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_generated_dataset_bit_identical(self, seed, monkeypatch):
+        config = StockConfig(n_symbols=30, n_days=6, seed=seed)
+        fast = generate_stock_dataset(config)
+        monkeypatch.setattr(stock_module, "_encode_formatted",
+                            _encode_per_value)
+        reference = generate_stock_dataset(config)
+        for got, want in zip(fast.dataset.properties,
+                             reference.dataset.properties):
+            assert got.values.dtype == want.values.dtype
+            np.testing.assert_array_equal(got.values, want.values)
+            if want.codec is not None:
+                assert got.codec.labels == want.codec.labels
+        for got, want in zip(fast.truth.columns, reference.truth.columns):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.001, 0.0, -0.0, 0.001],         # all but 0.001 -> "-0.00"
+        [np.nan, 1.0, np.nan, -np.nan],
+        [1.001, 1.004, 1.0, 0.996, 1.001],  # distinct floats, one label
+        [[2.5, -0.0], [0.0, 2.5], [np.inf, -np.inf]],
+        [],
+    ])
+    def test_edge_values_match_per_value_encoding(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        fast = CategoricalCodec(["1.00"])
+        reference = CategoricalCodec(["1.00"])
+        got = stock_module._encode_formatted(fast, values)
+        want = _encode_per_value(reference, values)
+        assert got.dtype == np.int32 and got.shape == values.shape
+        np.testing.assert_array_equal(got, want)
+        assert fast.labels == reference.labels
+
+    def test_negative_zero_is_its_own_label(self):
+        codec = CategoricalCodec()
+        codes = stock_module._encode_formatted(
+            codec, np.array([0.0, -0.0, -0.001]))
+        assert codec.labels == ("0.00", "-0.00")
+        assert codes.tolist() == [0, 1, 1]
 
 class TestFlightGenerator:
     def test_structure(self):

@@ -278,19 +278,88 @@ class TestFusedSweepReuse:
                                   np.asarray(b.column), equal_nan=True)
 
 
+def _vote_case(cells_per_claim: float, seed: int, n_groups: int = 40,
+               n_claims: int = 400):
+    """Segmented votes at a chosen ``n_categories * n_groups / n_claims``.
+
+    Most claims agree on a few low codes (so groups have real winners
+    and exact ties), the rest spread over the whole vocabulary; one
+    group is empty and one carries only zero weights.
+    """
+    rng = np.random.default_rng(seed)
+    n_categories = max(1, round(cells_per_claim * n_claims / n_groups))
+    group = np.sort(rng.integers(0, n_groups, n_claims))
+    group[group == 0] = 1                     # group 0 stays empty
+    indptr = np.searchsorted(group, np.arange(n_groups + 1)).astype(
+        np.int64)
+    codes = np.where(rng.random(n_claims) < 0.6,
+                     rng.integers(0, min(n_categories, 3), n_claims),
+                     rng.integers(0, n_categories, n_claims)).astype(np.int32)
+    weights = rng.choice([0.0, 0.25, 0.5, 1.0, 1e7], n_claims)
+    weights[group == 2] = 0.0                 # zero total -> uniform
+    return codes, weights, indptr, group, n_categories
+
+
 class TestVoteSparseFallback:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_sparse_and_dense_paths_agree(self, seed, monkeypatch):
-        values, weights, codes, indptr, group = _segment_case(seed)
-        dense = kernels.segment_weighted_vote(
-            codes, weights, indptr, 6, group_of_claim=group)
-        monkeypatch.setattr(kernels, "VOTE_DENSE_SCORE_CELLS", 0)
-        sparse = kernels.segment_weighted_vote(
-            codes, weights, indptr, 6, group_of_claim=group)
+    @pytest.mark.parametrize("cells_per_claim,seed", [
+        # the shared _segment_case at ~0.5 cells per claim
+        *(pytest.param(None, seed, id=str(seed)) for seed in range(6)),
+        *(pytest.param(cells, seed, id=f"{cells:g}cells-{seed}")
+          for cells in (0.1, 0.5, 1.0, 2.0, 4.0,
+                        kernels.VOTE_DENSE_CELLS_PER_CLAIM - 0.1,
+                        kernels.VOTE_DENSE_CELLS_PER_CLAIM,
+                        kernels.VOTE_DENSE_CELLS_PER_CLAIM + 0.1,
+                        16.0, 32.0, 60.0)
+          for seed in range(3)),
+    ])
+    def test_sparse_and_dense_paths_agree(self, cells_per_claim, seed,
+                                          monkeypatch):
+        if cells_per_claim is None:
+            _, weights, codes, indptr, group = _segment_case(seed)
+            n_categories = 6
+        else:
+            codes, weights, indptr, group, n_categories = _vote_case(
+                cells_per_claim, seed)
+        vote = lambda: kernels.segment_weighted_vote(  # noqa: E731
+            codes, weights, indptr, n_categories, group_of_claim=group)
+        chosen = vote()
+        monkeypatch.setattr(kernels, "VOTE_DENSE_CELLS_PER_CLAIM",
+                            float("inf"))
+        dense = vote()
+        monkeypatch.setattr(kernels, "VOTE_DENSE_CELLS_PER_CLAIM", 0)
+        sparse = vote()
         assert np.array_equal(dense, sparse)
+        assert np.array_equal(chosen, dense)
+        assert (chosen[np.diff(indptr) == 0] == MISSING_CODE).all()
+
+    @pytest.mark.parametrize("n_claims,n_groups,n_categories,sparse", [
+        (35_000, 1_000, 2_000, True),    # a stock fact property
+        (71_000, 8_900, 35, False),      # an Adult categorical property
+    ])
+    def test_path_follows_cells_per_claim(self, n_claims, n_groups,
+                                          n_categories, sparse,
+                                          monkeypatch):
+        calls = []
+        real = kernels._sparse_weighted_vote
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_sparse_weighted_vote", spy)
+        rng = np.random.default_rng(0)
+        group = np.sort(rng.integers(0, n_groups, n_claims))
+        indptr = np.searchsorted(group, np.arange(n_groups + 1)).astype(
+            np.int64)
+        codes = rng.integers(0, n_categories, n_claims).astype(np.int32)
+        winners = kernels.segment_weighted_vote(
+            codes, rng.random(n_claims), indptr, n_categories,
+            group_of_claim=group)
+        assert winners.shape == (n_groups,)
+        assert len(calls) == (1 if sparse else 0)
 
     def test_empty_groups_stay_missing_on_sparse_path(self, monkeypatch):
-        monkeypatch.setattr(kernels, "VOTE_DENSE_SCORE_CELLS", 0)
+        monkeypatch.setattr(kernels, "VOTE_DENSE_CELLS_PER_CLAIM", 0)
         indptr = np.array([0, 2, 2, 3], dtype=np.int64)
         codes = np.array([4, 4, 1], dtype=np.int32)
         weights = np.array([0.5, 0.25, 1.0])
@@ -298,12 +367,14 @@ class TestVoteSparseFallback:
         assert winners.tolist() == [4, MISSING_CODE, 1]
 
     def test_huge_vocabulary_peak_memory_is_bounded(self):
-        """Above the cell threshold, peak allocation tracks the claim
-        count, not the (categories x groups) score matrix — the dense
-        path here would allocate 50_000 * 120 * 8 bytes = ~46 MiB."""
+        """Above the cells-per-claim threshold, peak allocation tracks
+        the claim count, not the (categories x groups) score matrix —
+        the dense path here would allocate 50_000 * 120 * 8 bytes =
+        ~46 MiB."""
         rng = np.random.default_rng(0)
         n_categories, n_groups, n = 50_000, 120, 2_000
-        assert n_categories * n_groups > kernels.VOTE_DENSE_SCORE_CELLS
+        assert n_categories * n_groups > \
+            kernels.VOTE_DENSE_CELLS_PER_CLAIM * n
         group = np.sort(rng.integers(0, n_groups, n))
         indptr = np.searchsorted(group, np.arange(n_groups + 1)).astype(
             np.int64)

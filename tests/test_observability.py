@@ -216,16 +216,42 @@ class TestServingTotals:
         metrics = service.metrics()
         assert totals["ingest_batches"] == 3
         assert totals["ingested_claims"] == metrics["ingested_claims"]
-        # the flush-time seal happens outside any ingest record, so the
-        # trace sees exactly one seal fewer than the live counter
-        assert totals["windows_sealed"] == 2
-        assert metrics["windows_sealed"] == 3
+        # two seals ride on ingest records, the third on the flush record
+        assert totals["windows_sealed"] == metrics["windows_sealed"] == 3
         assert totals["read_calls"] == 2
         assert totals["read_objects"] == metrics["read_objects"]
         assert totals["cache_hits"] == metrics["cache_hits"]
         assert totals["cache_misses"] == metrics["cache_misses"]
         assert totals["cache_hit_rate"] == pytest.approx(
             metrics["cache_hit_rate"])
+
+    def test_flush_record_carries_the_flush_seals(self):
+        _, tracer = self._traced_service()
+        flushes = tracer.events("flush")
+        assert len(flushes) == 1
+        assert flushes[0]["windows_sealed"] == 1
+        assert flushes[0]["elapsed_seconds"] >= 0
+
+    def test_sharded_totals_match_the_router_counter(self):
+        from repro.data import DatasetSchema, continuous
+        from repro.streaming import Claim, ShardedTruthService
+
+        tracer = MemoryTracer()
+        with ShardedTruthService(DatasetSchema.of(continuous("p0")),
+                                 n_shards=2, window=1,
+                                 tracer=tracer) as service:
+            for batch in range(3):
+                service.ingest([
+                    Claim(batch * 4 + i % 4, "p0", f"s{i % 3}", float(i),
+                          float(batch))
+                    for i in range(6)
+                ])
+            service.flush()
+            metrics = service.metrics()
+        totals = RunReport.from_records(tracer.records).serving_totals()
+        assert totals["windows_sealed"] == metrics["windows_sealed"] == 3
+        (flush,) = tracer.events("flush")
+        assert flush["n_shards"] == 2 and flush["windows_sealed"] == 1
 
     def test_summary_renders_the_serving_line(self):
         _, tracer = self._traced_service()
