@@ -48,7 +48,8 @@ class ClaimGraph:
     n_sources: int
     n_entries: int
     n_facts: int
-    #: (C,) source index of every claim
+    #: (C,) source index of every claim (``int64``, so the per-round
+    #: gathers and ``bincount`` calls index it without a cast)
     claim_source: np.ndarray
     #: (C,) fact index of every claim
     claim_fact: np.ndarray
@@ -237,11 +238,8 @@ def build_claim_graph(dataset) -> ClaimGraph:
     counts = np.bincount(fact_entry, minlength=n_entries)
     entry_fact_start = np.concatenate(([0], np.cumsum(counts)))
 
-    return ClaimGraph(
-        n_sources=dataset.n_sources,
-        n_entries=n_entries,
-        n_facts=unique_facts.size,
-        claim_source=sources.astype(np.int32),
+    arrays = dict(
+        claim_source=sources,
         claim_fact=fact_of_claim.astype(np.int64),
         fact_entry=fact_entry,
         fact_value=fact_value,
@@ -250,10 +248,20 @@ def build_claim_graph(dataset) -> ClaimGraph:
         entry_object=entry_object,
         entry_fact_start=entry_fact_start.astype(np.int64),
     )
+    # One graph serves every resolver fitted on the dataset (see
+    # claim_graph_session), so no resolver may write into it.
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ClaimGraph(
+        n_sources=dataset.n_sources,
+        n_entries=n_entries,
+        n_facts=unique_facts.size,
+        **arrays,
+    )
 
 
 def claim_graph_session(resolver, dataset):
-    """Resolve a fact-graph resolver's backend and build its graph.
+    """Resolve a fact-graph resolver's backend and fetch its graph.
 
     Returns ``(session, graph)``.  Fact-graph iterations (Investment,
     2/3-Estimates, TruthFinder, AccuSim) walk the whole claim/fact
@@ -261,15 +269,23 @@ def claim_graph_session(resolver, dataset):
     process/mmap backend request degrades immediately to inline sparse
     execution with that reason traced — the graph is then built from
     the resolved data's claim views (dense or sparse, identical
-    bytes).  The caller must ``session.close()`` when done and
-    ``session.stamp(result)`` before returning.
+    bytes).  The graph depends only on the claims, so it is built once
+    per resolved dataset object and cached on it, like the claim views
+    it is built from; every fact-graph resolver fitted on that object
+    shares it read-only.  The caller must ``session.close()`` when
+    done and ``session.stamp(result)`` before returning.
     """
     session = resolver._session(dataset)
     session.require_inline(
         f"{resolver.name}'s fact-graph iteration walks global "
         "claim/fact arrays and has no worker/chunk kernels"
     )
-    return session, build_claim_graph(session.data)
+    data = session.data
+    graph = getattr(data, "_claim_graph_cache", None)
+    if graph is None:
+        graph = build_claim_graph(data)
+        object.__setattr__(data, "_claim_graph_cache", graph)
+    return session, graph
 
 
 def winners_to_truth_table(graph: ClaimGraph,

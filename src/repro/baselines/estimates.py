@@ -45,6 +45,22 @@ def _rescale(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def _claim_invariants(graph: ClaimGraph, claimants_per_entry: np.ndarray,
+                      facts_per_entry: np.ndarray):
+    """The claim-only terms of both fixpoints, computed once per fit.
+
+    Returns ``(entry_of_claim, vote_sum, claimants_of_fact_entry)``:
+    each claim's entry, each source's vote count (one positive vote
+    plus one negative vote per other fact of the entry, floored at 1)
+    and each fact's entry claimant count.
+    """
+    entry_of_claim = graph.fact_entry[graph.claim_fact]
+    votes_per_claim = facts_per_entry[entry_of_claim]
+    vote_sum = np.maximum(graph.sum_claims_by_source(votes_per_claim), 1.0)
+    return (entry_of_claim, vote_sum,
+            claimants_per_entry[graph.fact_entry])
+
+
 class _EstimatesBase(ConflictResolver):
     """Shared fixpoint scaffolding; subclasses define the update rules."""
 
@@ -91,6 +107,8 @@ class TwoEstimatesResolver(_EstimatesBase):
             graph.claimants_per_entry().astype(np.float64), 1.0
         )
         facts_per_entry = graph.facts_per_entry().astype(np.float64)
+        entry_of_claim, vote_sum, claimants_of_fact_entry = \
+            _claim_invariants(graph, claimants_per_entry, facts_per_entry)
         eps = np.full(graph.n_sources, 0.4)
         p = np.zeros(graph.n_facts)
         iterations = 0
@@ -104,21 +122,16 @@ class TwoEstimatesResolver(_EstimatesBase):
                 (claimants_per_fact - pos_eps)                  # pos: 1-eps
                 + (entry_eps[graph.fact_entry] - pos_eps)        # neg: eps
             )
-            p = numerator / claimants_per_entry[graph.fact_entry]
+            p = numerator / claimants_of_fact_entry
             p = _rescale(p)
             # --- error step -------------------------------------------
             p_of_claim = p[graph.claim_fact]
             entry_p = graph.sum_facts_by_entry(p)
-            entry_of_claim = graph.fact_entry[graph.claim_fact]
             per_claim_error = (
                 (1.0 - p_of_claim)                               # pos vote
                 + (entry_p[entry_of_claim] - p_of_claim)        # neg votes
             )
-            votes_per_claim = facts_per_entry[entry_of_claim]
             error_sum = graph.sum_claims_by_source(per_claim_error)
-            vote_sum = np.maximum(
-                graph.sum_claims_by_source(votes_per_claim), 1.0
-            )
             new_eps = _rescale(error_sum / vote_sum)
             delta = float(np.abs(new_eps - eps).max())
             eps = new_eps
@@ -140,7 +153,8 @@ class ThreeEstimatesResolver(_EstimatesBase):
             graph.claimants_per_entry().astype(np.float64), 1.0
         )
         facts_per_entry = graph.facts_per_entry().astype(np.float64)
-        entry_of_claim = graph.fact_entry[graph.claim_fact]
+        entry_of_claim, vote_sum, claimants_of_fact_entry = \
+            _claim_invariants(graph, claimants_per_entry, facts_per_entry)
         eps = np.full(graph.n_sources, 0.4)
         theta = np.full(graph.n_facts, 0.5)
         p = np.zeros(graph.n_facts)
@@ -155,7 +169,7 @@ class ThreeEstimatesResolver(_EstimatesBase):
                 (claimants_per_fact - theta * pos_eps)
                 + theta * (entry_eps[graph.fact_entry] - pos_eps)
             )
-            p = _rescale(numerator / claimants_per_entry[graph.fact_entry])
+            p = _rescale(numerator / claimants_of_fact_entry)
             # --- error step: residuals scaled by 1/theta ---------------
             safe_theta = np.maximum(theta, _EPS)
             q = p / safe_theta                        # neg-vote residual
@@ -165,11 +179,7 @@ class ThreeEstimatesResolver(_EstimatesBase):
                 r[graph.claim_fact]
                 + (entry_q[entry_of_claim] - q[graph.claim_fact])
             )
-            votes_per_claim = facts_per_entry[entry_of_claim]
             error_sum = graph.sum_claims_by_source(per_claim_error)
-            vote_sum = np.maximum(
-                graph.sum_claims_by_source(votes_per_claim), 1.0
-            )
             new_eps = _rescale(error_sum / vote_sum)
             # --- difficulty step: residuals scaled by 1/eps ------------
             safe_eps = np.maximum(new_eps, _EPS)
@@ -180,9 +190,7 @@ class ThreeEstimatesResolver(_EstimatesBase):
                 (1.0 - p) * pos_inv
                 + p * (entry_inv[graph.fact_entry] - pos_inv)
             )
-            theta = _rescale(
-                theta_num / claimants_per_entry[graph.fact_entry]
-            )
+            theta = _rescale(theta_num / claimants_of_fact_entry)
             delta = float(np.abs(new_eps - eps).max())
             eps = new_eps
             if delta < self.tol:

@@ -58,14 +58,14 @@ class _InvestmentBase(ConflictResolver):
 
     def _fit_graph(self, data, graph: ClaimGraph) -> TruthDiscoveryResult:
         claims_per_source = np.maximum(graph.claims_per_source(), 1)
+        claims_of_claim_source = claims_per_source[graph.claim_source]
         trust = np.ones(graph.n_sources)
         beliefs = np.zeros(graph.n_facts)
         iterations = 0
         converged = False
         for iterations in range(1, self.max_iterations + 1):
             # Each source splits its trust evenly over its claims.
-            per_claim = trust[graph.claim_source] / \
-                claims_per_source[graph.claim_source]
+            per_claim = trust[graph.claim_source] / claims_of_claim_source
             invested = graph.sum_claims_by_fact(per_claim)
             beliefs = self._beliefs(graph, invested)
             # Sources harvest belief proportional to their share of the

@@ -64,6 +64,7 @@ _ABLATIONS = {name for name in _EXPERIMENTS if name.startswith("ablation")}
 _SEEDED_WITH_SEEDS = {"table2", "table4"}       # take seeds=(...)
 _SEEDLESS = {"fig2", "fig3"}                    # wrapped above
 _SCALED = {"table1", "table2", "table5"}        # accept scale=
+_TRACED = {"table2", "table4"}                  # accept tracer=
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +149,8 @@ def _run_one(name: str, seed: int, scale: float,
     kwargs = {}
     if name in _SCALED and scale != 1.0:
         kwargs["scale"] = scale
+    if name in _TRACED:
+        kwargs["tracer"] = tracer
     if name in _SEEDED_WITH_SEEDS or name in _ABLATIONS:
         result = runner(seeds=(seed, seed + 1, seed + 2), **kwargs)
     elif name in _SEEDLESS:

@@ -34,10 +34,12 @@ def initialize_vote_median(dataset) -> list[np.ndarray]:
                 group_of_claim=view.object_idx,
             ))
         else:
+            n_categories = len(prop.codec)
             columns.append(segment_weighted_vote(
                 view.values, uniform, view.indptr,
-                n_categories=len(prop.codec),
+                n_categories=n_categories,
                 group_of_claim=view.object_idx,
+                plan=view.vote_plan(n_categories),
             ))
     return columns
 
@@ -54,10 +56,12 @@ def initialize_vote_mean(dataset) -> list[np.ndarray]:
                 group_of_claim=view.object_idx,
             ))
         else:
+            n_categories = len(prop.codec)
             columns.append(segment_weighted_vote(
                 view.values, uniform, view.indptr,
-                n_categories=len(prop.codec),
+                n_categories=n_categories,
                 group_of_claim=view.object_idx,
+                plan=view.vote_plan(n_categories),
             ))
     return columns
 

@@ -334,21 +334,77 @@ def segment_weighted_median(values: np.ndarray, claim_weights: np.ndarray,
 VOTE_DENSE_CELLS_PER_CLAIM = 8
 
 
+def vote_is_sparse(n_categories: int, n_groups: int,
+                   n_claims: int) -> bool:
+    """Whether :func:`segment_weighted_vote` takes its sparse path.
+
+    True past :data:`VOTE_DENSE_CELLS_PER_CLAIM` score cells per claim;
+    :meth:`~repro.data.claims_matrix.ClaimView.vote_plan` asks the same
+    question so it never builds a plan the dense path would ignore.
+    """
+    return n_categories * n_groups > VOTE_DENSE_CELLS_PER_CLAIM * n_claims
+
+
+class VoteCellPlan:
+    """Reusable cell index of the sparse vote path.
+
+    The sparse vote's dominant cost is the ``np.unique`` over the
+    claimed ``(group, code)`` cells — cells that depend only on the
+    claim codes and grouping, never on the iteration's weights.  A plan
+    captures that index once: the inverse (claim -> cell) index the
+    per-call ``np.bincount`` scatters weights through, the group-major
+    runs of cells (their starts and sizes, one run per occupied
+    group), each run's group and each cell's code.
+    :meth:`~repro.data.claims_matrix.ClaimView.vote_plan` caches one
+    plan per claim view, like :class:`MedianSortPlan`.  A plan holds no
+    scratch, so unlike the median plan it is safe to share across
+    threads.
+    """
+
+    __slots__ = ("n_categories", "inverse", "run_starts", "run_sizes",
+                 "run_groups", "cell_codes")
+
+    def __init__(self, codes: np.ndarray, group_of_claim: np.ndarray,
+                 n_categories: int) -> None:
+        self.n_categories = int(n_categories)
+        cells = (n_categories * np.asarray(group_of_claim).astype(np.int64)
+                 + np.asarray(codes))
+        unique_cells, inverse = np.unique(cells, return_inverse=True)
+        # The plan lives as long as its view: int32 halves its resident
+        # size (bincount widens it per call).  Cell ids are below the
+        # claim count, so int32 holds them whenever it holds that count.
+        self.inverse = (inverse.astype(np.int32)
+                        if inverse.shape[0] <= np.iinfo(np.int32).max
+                        else inverse)
+        group_of_cell = unique_cells // n_categories
+        self.run_starts = np.flatnonzero(np.diff(group_of_cell, prepend=-1))
+        self.run_sizes = np.diff(np.append(self.run_starts,
+                                           group_of_cell.shape[0]))
+        self.run_groups = group_of_cell[self.run_starts]
+        self.cell_codes = (unique_cells % n_categories).astype(np.int32)
+
+
 @_profiled
 def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
                           indptr: np.ndarray, n_categories: int,
                           group_of_claim: np.ndarray | None = None,
                           effective: tuple[np.ndarray, np.ndarray]
-                          | None = None) -> np.ndarray:
+                          | None = None,
+                          plan: VoteCellPlan | None = None) -> np.ndarray:
     """Weighted vote per claim group (Eq. 9).
 
     Returns an ``int32`` vector of winning codes, ``MISSING_CODE`` for
     empty groups; ties break toward the smallest code.  ``effective``
     optionally supplies the precomputed :func:`effective_claim_weights`
-    pair (pure reuse, bit-identical).
+    pair, and ``plan`` a :class:`VoteCellPlan` for exactly these
+    ``codes`` / ``group_of_claim`` arrays and ``n_categories`` (claim
+    views cache one), which the sparse path uses instead of its
+    ``np.unique``; the dense path ignores it.  Both are pure reuse —
+    the result is bit-identical with or without them.
 
     The path is chosen by score cells per claim, ``n_categories *
-    n_groups / n_claims``.  Past :data:`VOTE_DENSE_CELLS_PER_CLAIM` the
+    n_groups / n_claims`` (:func:`vote_is_sparse`).  Past
+    :data:`VOTE_DENSE_CELLS_PER_CLAIM` the
     dense ``(n_categories, n_groups)`` matrix, whose zero-fill and
     strided ``argmax`` grow with the cell count, is replaced by a
     sparse reduction over the *claimed* ``(group, code)`` cells only,
@@ -383,10 +439,9 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
         core(codes, weights, np.asarray(indptr, dtype=np.int64),
              n_categories, MISSING_CODE, winners)
         return winners
-    if n_categories * n_groups > \
-            VOTE_DENSE_CELLS_PER_CLAIM * codes.shape[0]:
+    if vote_is_sparse(n_categories, n_groups, codes.shape[0]):
         return _sparse_weighted_vote(codes, weights, group_of_claim,
-                                     n_groups, n_categories)
+                                     n_groups, n_categories, plan=plan)
     scores = np.zeros((n_categories, n_groups), dtype=np.float64)
     np.add.at(scores, (codes, group_of_claim), weights)
     winners = scores.argmax(axis=0).astype(np.int32)
@@ -396,32 +451,31 @@ def segment_weighted_vote(codes: np.ndarray, claim_weights: np.ndarray,
 
 def _sparse_weighted_vote(codes: np.ndarray, weights: np.ndarray,
                           group_of_claim: np.ndarray, n_groups: int,
-                          n_categories: int) -> np.ndarray:
+                          n_categories: int,
+                          plan: VoteCellPlan | None = None) -> np.ndarray:
     """Vote winners via the claimed ``(group, code)`` cells only.
 
-    Memory is O(claims): flatten each claim to its cell id, sum weights
-    per unique cell (``np.bincount`` over the inverse index accumulates
-    in claim order, matching the dense ``np.add.at`` bit for bit), then
-    take each occupied group's first maximal cell — cells sort
-    group-major and code-ascending, so the minimum maximal cell is
-    ``argmax``'s smallest-code tie-break.
+    Memory is O(claims): sum weights per unique cell of the
+    :class:`VoteCellPlan` (built here when none is passed;
+    ``np.bincount`` over its inverse index accumulates in claim order,
+    matching the dense ``np.add.at`` bit for bit), then take each
+    occupied group's smallest maximal code — cells sort group-major
+    and code-ascending, so that is ``argmax``'s smallest-code
+    tie-break.
     """
     winners = np.full(n_groups, MISSING_CODE, dtype=np.int32)
     if codes.shape[0] == 0:
         return winners
-    cells = n_categories * group_of_claim.astype(np.int64) + codes
-    unique_cells, inverse = np.unique(cells, return_inverse=True)
-    cell_scores = np.bincount(inverse, weights=weights,
-                              minlength=unique_cells.shape[0])
-    group_of_cell = unique_cells // n_categories
-    run_starts = np.flatnonzero(np.diff(group_of_cell, prepend=-1))
-    run_sizes = np.diff(np.append(run_starts, group_of_cell.shape[0]))
-    maxima = np.maximum.reduceat(cell_scores, run_starts)
-    is_max = cell_scores == np.repeat(maxima, run_sizes)
-    candidates = np.where(is_max, unique_cells, np.iinfo(np.int64).max)
-    winner_cells = np.minimum.reduceat(candidates, run_starts)
-    winners[group_of_cell[run_starts]] = \
-        (winner_cells % n_categories).astype(np.int32)
+    if plan is None:
+        plan = VoteCellPlan(codes, group_of_claim, n_categories)
+    cell_scores = np.bincount(plan.inverse, weights=weights,
+                              minlength=plan.cell_codes.shape[0])
+    maxima = np.maximum.reduceat(cell_scores, plan.run_starts)
+    is_max = cell_scores == np.repeat(maxima, plan.run_sizes)
+    candidates = np.where(is_max, plan.cell_codes,
+                          np.iinfo(np.int32).max)
+    winners[plan.run_groups] = np.minimum.reduceat(candidates,
+                                                   plan.run_starts)
     return winners
 
 

@@ -172,10 +172,12 @@ class ZeroOneLoss(Loss):
         view = prop.claim_view()
         if claim_weights is None:
             claim_weights = view.claim_weights(weights)
+        n_categories = len(prop.codec)
         column = kernels.segment_weighted_vote(
             view.values, claim_weights, view.indptr,
-            n_categories=len(prop.codec),
+            n_categories=n_categories,
             group_of_claim=view.object_idx, effective=effective,
+            plan=view.vote_plan(n_categories),
         )
         return TruthState(column=column)
 

@@ -60,8 +60,9 @@ class ClaimView:
 
     The per-entry standard deviation of Eqs. 13/15 depends only on the
     claims, so it is computed once per view and cached; the weighted
-    median's sort plan (:meth:`median_plan`) is cached the same way —
-    both are pure functions of the view's immutable arrays.
+    median's sort plan (:meth:`median_plan`) and the sparse vote's cell
+    index (:meth:`vote_plan`) are cached the same way — all three are
+    pure functions of the view's immutable arrays.
     """
 
     values: np.ndarray
@@ -72,6 +73,7 @@ class ClaimView:
     n_sources: int
     _std: np.ndarray | None = field(default=None, repr=False)
     _median_plan: object | None = field(default=None, repr=False)
+    _vote_plan: object | None = field(default=None, repr=False)
 
     @property
     def n_claims(self) -> int:
@@ -107,6 +109,25 @@ class ClaimView:
                 self.object_idx, self.indptr,
             )
         return self._median_plan
+
+    def vote_plan(self, n_categories: int):
+        """The sparse vote's :class:`~repro.core.kernels.VoteCellPlan`.
+
+        The plan (the unique claimed ``(object, code)`` cells and the
+        claim -> cell index) depends only on the view's codes and
+        grouping, so one plan serves every vote of a solve; cached on
+        first use like :meth:`median_plan`, and rebuilt if asked for a
+        different ``n_categories``.  Returns ``None`` when a vote of
+        this shape takes the dense path, which has nothing to plan.
+        """
+        from ..core.kernels import VoteCellPlan, vote_is_sparse
+        if not vote_is_sparse(n_categories, self.n_objects, self.n_claims):
+            return None
+        plan = self._vote_plan
+        if plan is None or plan.n_categories != n_categories:
+            plan = self._vote_plan = VoteCellPlan(
+                self.values, self.object_idx, n_categories)
+        return plan
 
     def claims_per_object(self) -> np.ndarray:
         """Number of claims on each object (CSR row lengths)."""

@@ -16,6 +16,7 @@ from ..datasets import (
 )
 from ..datasets.base import GeneratedData
 from ..metrics import ReliabilityComparison, compare_reliability
+from ..observability.tracer import Tracer
 from .harness import MethodTable, run_method_table
 from .render import render_series, render_table
 
@@ -71,12 +72,18 @@ def run_table1(scale: float = 1.0, seed: int = 7) -> Table1Result:
     return Table1Result(rows=rows)
 
 
-def run_table2(scale: float = 1.0, seeds=(1, 2, 3)) -> MethodTable:
-    """Regenerate Table 2: all methods on weather/stock/flight."""
+def run_table2(scale: float = 1.0, seeds=(1, 2, 3),
+               tracer: Tracer | None = None) -> MethodTable:
+    """Regenerate Table 2: all methods on weather/stock/flight.
+
+    With a ``tracer``, every fit emits one ``method_run`` record (see
+    :func:`~repro.experiments.harness.run_method_table`).
+    """
     return run_method_table(
         title="Table 2: performance comparison on real-world data sets",
         workloads=default_workloads(scale),
         seeds=seeds,
+        tracer=tracer,
     )
 
 

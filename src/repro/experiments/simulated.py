@@ -22,6 +22,7 @@ from ..datasets import (
 )
 from ..datasets.base import GeneratedData
 from ..metrics import error_rate, mnad
+from ..observability.tracer import Tracer
 from .harness import MethodTable, run_method_table
 from .render import render_series, render_table
 
@@ -89,12 +90,18 @@ def run_table3(adult_objects: int = DEFAULT_ADULT_OBJECTS,
 
 def run_table4(adult_objects: int = DEFAULT_ADULT_OBJECTS,
                bank_objects: int = DEFAULT_BANK_OBJECTS,
-               seeds=(1, 2, 3)) -> MethodTable:
-    """Regenerate Table 4: all methods on the simulated datasets."""
+               seeds=(1, 2, 3),
+               tracer: Tracer | None = None) -> MethodTable:
+    """Regenerate Table 4: all methods on the simulated datasets.
+
+    With a ``tracer``, every fit emits one ``method_run`` record (see
+    :func:`~repro.experiments.harness.run_method_table`).
+    """
     return run_method_table(
         title="Table 4: performance comparison on simulated data sets",
         workloads=simulated_workloads(adult_objects, bank_objects),
         seeds=seeds,
+        tracer=tracer,
     )
 
 

@@ -128,6 +128,9 @@ METRIC_FIELDS: dict[str, str] = {
                           "the accumulated distances (Algorithm 2 "
                           "line 4)",
     "ingested_claims": "claims absorbed by a TruthService ingest batch",
+    "missing_claims": "claims dropped at ingest because their value was "
+                      "missing (None or NaN), as batch CRH drops a "
+                      "missing cell",
     "new_objects": "objects first seen during the ingest batch",
     "windows_sealed": "stream windows sealed (Algorithm-2 chunk steps "
                       "run) by the ingest batch",

@@ -69,7 +69,7 @@ from .service import (
     _config_to_dict,
     as_claim,
 )
-from .store import Claim, ClaimStore
+from .store import Claim, ClaimStore, claim_value_is_missing
 
 #: objects per contiguous block of the ``range`` policy — the streaming
 #: analogue of :func:`repro.mapreduce.partitioner.range_partition`'s
@@ -351,6 +351,7 @@ class ShardedTruthService:
         registry = self.registry
         self._c_submitted = registry.counter("submitted_claims")
         self._c_rejected = registry.counter("rejected_claims")
+        self._c_missing = registry.counter("missing_claims")
         self._c_retries = registry.counter("shard_busy_retries")
         self._c_sealed = registry.counter("windows_sealed")
         self._g_queue_depth = registry.gauge("queue_depth")
@@ -546,6 +547,12 @@ class ShardedTruthService:
                         f"unknown property {claim.property_name!r}; "
                         f"schema has {sorted(self._prop_names)}"
                     )
+                if claim_value_is_missing(claim,
+                                          claim.property_name in self._codecs):
+                    # Dropped here, before any routing, exactly as a
+                    # shard's store would drop it.
+                    self._c_missing.inc()
+                    continue
                 if claim.source_id not in self._source_index:
                     self._source_index[claim.source_id] = len(
                         self._source_ids)
@@ -955,6 +962,7 @@ class ShardedTruthService:
             "submitted_claims": int(self._c_submitted.value),
             "ingested_claims": total("ingested_claims"),
             "rejected_claims": int(self._c_rejected.value),
+            "missing_claims": int(self._c_missing.value),
             "shard_busy_retries": int(self._c_retries.value),
             "windows_sealed": int(self._c_sealed.value),
             "pending_timestamps": len(self._pending),
@@ -1035,6 +1043,7 @@ class ShardedTruthService:
                     "totals": {
                         "submitted_claims": int(self._c_submitted.value),
                         "rejected_claims": int(self._c_rejected.value),
+                        "missing_claims": int(self._c_missing.value),
                         "shard_busy_retries": int(self._c_retries.value),
                         "windows_sealed": int(self._c_sealed.value),
                     },

@@ -266,6 +266,7 @@ class TruthService:
         self._external_state = None
         registry = self.registry
         self._c_ingested = registry.counter("ingested_claims")
+        self._c_missing = registry.counter("missing_claims")
         self._c_sealed = registry.counter("windows_sealed")
         self._c_recomputed = registry.counter("recomputed_objects")
         self._c_read = registry.counter("read_objects")
@@ -347,6 +348,7 @@ class TruthService:
         store = self._store
         k_before = store.n_sources
         absorbed = 0
+        missing = 0
         new_objects = 0
         sealed = 0
         with activate(self.profiler):
@@ -360,6 +362,9 @@ class TruthService:
                             f"{claim.object_id!r}"
                         )
                     obj, created = store.add(claim)
+                    if obj < 0:  # missing value, dropped by the store
+                        missing += 1
+                        continue
                     absorbed += 1
                     if created:
                         new_objects += 1
@@ -378,6 +383,7 @@ class TruthService:
                 recomputed = self._recompute_dirty()
         elapsed = time.perf_counter() - started
         self._c_ingested.inc(absorbed)
+        self._c_missing.inc(missing)
         self._c_recomputed.inc(recomputed)
         self._h_ingest.observe(elapsed)
         self._update_gauges()
@@ -522,13 +528,18 @@ class TruthService:
         """
         store = self._store
         absorbed = 0
+        missing = 0
         new_objects = 0
         for item in claims:
-            _, created = store.add(as_claim(item))
+            obj, created = store.add(as_claim(item))
+            if obj < 0:  # missing value, dropped by the store
+                missing += 1
+                continue
             absorbed += 1
             if created:
                 new_objects += 1
         self._c_ingested.inc(absorbed)
+        self._c_missing.inc(missing)
         return absorbed, new_objects
 
     def apply_seal(self, object_indices, columns, version: int) -> None:
@@ -722,6 +733,7 @@ class TruthService:
         :meth:`metrics`)."""
         return {
             "ingested_claims": int(self._c_ingested.value),
+            "missing_claims": int(self._c_missing.value),
             "windows_sealed": int(self._c_sealed.value),
             "recomputed_objects": int(self._c_recomputed.value),
             "read_objects": int(self._c_read.value),
@@ -750,6 +762,7 @@ class TruthService:
             "dirty_objects": len(self._store.dirty),
             "cached_objects": self._cache.n_cached(),
             "ingested_claims": totals["ingested_claims"],
+            "missing_claims": totals["missing_claims"],
             "recomputed_objects": totals["recomputed_objects"],
             "read_objects": totals["read_objects"],
             "cache_hits": hits,

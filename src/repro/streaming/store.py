@@ -28,6 +28,7 @@ matching :class:`~repro.data.table.DatasetBuilder` overwrite semantics.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +51,31 @@ class Claim(NamedTuple):
     value: object
     #: event time of the claim; drives window sealing in the service
     timestamp: float
+
+
+def claim_value_is_missing(claim: Claim, uses_codec: bool) -> bool:
+    """Whether ``claim`` carries no value, the serving-side missing cell.
+
+    ``None`` and NaN are missing for every property kind — batch CRH
+    stores both as its missing sentinel and never counts them as a
+    claim.  A continuous ``±inf`` is neither a value nor missing, so it
+    raises ``ValueError``.  O(1) per claim.
+    """
+    value = claim.value
+    if value is None:
+        return True
+    if uses_codec:
+        return isinstance(value, float) and value != value
+    value = float(value)
+    if math.isfinite(value):
+        return False
+    if value != value:
+        return True
+    raise ValueError(
+        f"non-finite value {claim.value!r} for property "
+        f"{claim.property_name!r} of object {claim.object_id!r} from "
+        f"source {claim.source_id!r}"
+    )
 
 
 class GrowableArray:
@@ -249,6 +275,10 @@ class ClaimStore:
 
         The object joins :attr:`dirty`; a new object's timestamp is the
         claim's (later claims never move an object between windows).
+        A claim whose value is missing (``None`` or NaN) is dropped the
+        way batch CRH drops a missing cell: the store is left untouched
+        and ``(-1, False)`` is returned.  A continuous ``±inf`` raises ``ValueError`` before
+        anything is stored.
         """
         m = self._prop_index.get(claim.property_name)
         if m is None:
@@ -256,6 +286,11 @@ class ClaimStore:
                 f"unknown property {claim.property_name!r}; schema has "
                 f"{list(self._prop_index)}"
             )
+        codec = self._codecs.get(claim.property_name)
+        if claim_value_is_missing(claim, codec is not None):
+            return -1, False
+        value = (codec.encode(claim.value) if codec is not None
+                 else float(claim.value))
         source = self.source_position(claim.source_id)
         obj = self._object_index.get(claim.object_id)
         created = obj is None
@@ -266,9 +301,6 @@ class ClaimStore:
             self._object_ts.append(
                 np.nan if claim.timestamp is None
                 else float(claim.timestamp))
-        codec = self._codecs.get(claim.property_name)
-        value = (codec.encode(claim.value) if codec is not None
-                 else claim.value)
         self._values[m].append(value)
         self._src[m].append(source)
         self._obj[m].append(obj)

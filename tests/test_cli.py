@@ -1,9 +1,12 @@
 """Tests for the command-line experiment runner."""
 
+import json
 import re
+from collections import Counter
 
 import pytest
 
+from repro.baselines import PAPER_METHOD_ORDER
 from repro.cli import _EXPERIMENTS, build_parser, main
 
 
@@ -50,6 +53,23 @@ class TestDispatch:
     def test_scale_flag_accepted(self, capsys):
         assert main(["table1", "--scale", "0.5"]) == 0
         assert "Table 1" in capsys.readouterr().out
+
+    def test_table2_trace_has_one_method_run_per_fit(self, capsys,
+                                                     tmp_path):
+        trace = tmp_path / "table2.jsonl"
+        assert main(["table2", "--scale", "0.1", "--seed", "4",
+                     "--trace", str(trace)]) == 0
+        records = [json.loads(line)
+                   for line in trace.read_text().splitlines()]
+        fits = Counter((r["dataset"], r["seed"], r["method"])
+                       for r in records if r["event"] == "method_run")
+        assert set(fits) == {
+            (dataset, seed, method)
+            for dataset in ("Weather", "Stock", "Flight")
+            for seed in (4, 5, 6) for method in PAPER_METHOD_ORDER
+        }
+        assert set(fits.values()) == {1}
+        assert [r["event"] for r in records].count("experiment") == 1
 
     def test_experiment_registry_covers_all_artifacts(self):
         expected = {f"table{i}" for i in (1, 2, 3, 4, 5, 6)} | \

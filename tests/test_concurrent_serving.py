@@ -130,6 +130,29 @@ class TestSequentialEquivalence:
         assert_equivalent(sharded, reference)
         sharded.close()
 
+    def test_missing_values_are_dropped_before_routing(self):
+        # A missing-valued claim that is the first for its object must
+        # not register the object (or its source) on the router either,
+        # or router and shard object positions would disagree.
+        dataset = weather(11)
+        reference = replay_unsharded(dataset)
+        claims = list(iter_dataset_claims(dataset))
+        first = claims[0]
+        sharded = ShardedTruthService(dataset.schema, n_shards=3,
+                                      window=2, codecs=dataset.codecs())
+        sharded.ingest([
+            first._replace(object_id="ghost-object", source_id="ghost",
+                           value=None),
+            first._replace(value=float("nan")),
+        ])
+        for start in range(0, len(claims), 64):
+            sharded.ingest(claims[start:start + 64])
+        sharded.flush()
+        sharded.drain()
+        assert_equivalent(sharded, reference)
+        assert sharded.metrics()["missing_claims"] == 2
+        sharded.close()
+
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_drained_threaded_matches_unsharded(self, threads):
         dataset = weather(13)
@@ -278,11 +301,23 @@ class TestConcurrentStress:
         published: list[dict] = [dict() for _ in range(3)]
         history_lock = threading.Lock()
 
-        def record_snapshots():
-            for shard_index, shard in enumerate(service.shards):
-                view = shard.snapshot_view()
-                with history_lock:
-                    published[shard_index][view.seq] = view
+        def record_snapshot(shard_index, shard):
+            view = shard.snapshot_view()
+            with history_lock:
+                published[shard_index][view.seq] = view
+
+        def recording(shard_index, shard, publish):
+            # Record every publication as it happens: the ingest
+            # workers publish several times per ingest call, and a read
+            # may serve any of them.
+            def publish_and_record():
+                publish()
+                record_snapshot(shard_index, shard)
+            return publish_and_record
+
+        for shard_index, shard in enumerate(service.shards):
+            record_snapshot(shard_index, shard)
+            shard._publish = recording(shard_index, shard, shard._publish)
 
         barrier = threading.Barrier(2)
         stop = threading.Event()
@@ -292,9 +327,7 @@ class TestConcurrentStress:
             barrier.wait()
             for start in range(0, len(claims), 17):
                 service.ingest(claims[start:start + 17])
-                record_snapshots()
             service.flush()
-            record_snapshots()
             stop.set()
 
         def reader():

@@ -208,7 +208,10 @@ class TestProfileRecord:
 
     def test_summary_renders_phases_and_hotspots(self, workload):
         prof, tracer = MemoryProfiler(memory=True), MemoryTracer()
-        crh(workload, tracer=tracer, profiler=prof)
+        # Closing stops the tracemalloc tracer the profiler started,
+        # which would otherwise slow every later test in the session.
+        with prof:
+            crh(workload, tracer=tracer, profiler=prof)
         summary = RunReport(tracer.records).summary()
         assert "phases:" in summary
         assert "hot kernels:" in summary

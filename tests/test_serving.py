@@ -413,3 +413,102 @@ class TestServiceSurface:
     def test_invalid_window(self, mixed_schema):
         with pytest.raises(ValueError, match="window"):
             TruthService(mixed_schema, window=0)
+
+
+class TestMissingValues:
+    """A claim without a value is dropped exactly like a batch missing
+    cell: it never registers a source or object and never votes."""
+
+    @pytest.fixture()
+    def weather_schema(self):
+        from repro.data import DatasetSchema
+        from repro.data.schema import categorical, continuous
+        return DatasetSchema.of(
+            continuous("temp"),
+            categorical("condition", ["sunny", "rain", "snow"]),
+        )
+
+    def _o2_claims(self):
+        claims = [Claim("o1", "condition", s, v, 0.0) for s, v in
+                  zip("abcde", ["sunny", "sunny", "rain", "sunny",
+                                "sunny"])]
+        claims += [Claim("o1", "temp", s, v, 0.0) for s, v in
+                   zip("abcde", [70.0, 71.0, 60.0, 70.5, 70.0])]
+        claims += [Claim("o2", "condition", s, v, 0.0) for s, v in
+                   zip("abc", ["rain", "rain", "snow"])]
+        return claims
+
+    def _serve(self, schema, claims):
+        service = TruthService(schema)
+        service.ingest(claims)
+        service.flush()
+        return service
+
+    def test_none_claims_do_not_flip_the_served_truth(self, weather_schema):
+        # Stored as MISSING_CODE, the two None claims used to vote for
+        # the last category ("snow") and win o2 from "rain".
+        clean = self._serve(weather_schema, self._o2_claims())
+        dirty = self._serve(weather_schema, self._o2_claims() + [
+            Claim("o2", "condition", "d", None, 0.0),
+            Claim("o2", "condition", "e", float("nan"), 0.0),
+        ])
+        table = dirty.get_truth(["o1", "o2"])
+        codec = table.codecs["condition"]
+        assert codec.decode_many(table.columns[1]) == ["sunny", "rain"]
+        assert dirty.weights_by_source() == clean.weights_by_source()
+        for got, want in zip(table.columns,
+                             clean.get_truth(["o1", "o2"]).columns):
+            np.testing.assert_array_equal(got, want)
+        assert dirty.metrics()["missing_claims"] == 2
+        assert dirty.metrics()["ingested_claims"] == \
+            clean.metrics()["ingested_claims"]
+
+    def test_store_drops_missing_values_untouched(self, mixed_schema):
+        store = ClaimStore(mixed_schema)
+        for value, prop in ((None, "temp"), (float("nan"), "temp"),
+                            (np.nan, "condition"), (None, "condition")):
+            assert store.add(Claim("o1", prop, "a", value, 0.0)) == \
+                (-1, False)
+        assert store.n_claims() == 0
+        assert store.n_objects == 0 and store.n_sources == 0
+        assert not store.dirty
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_continuous_inf_raises_before_storing(self, mixed_schema,
+                                                  value):
+        store = ClaimStore(mixed_schema)
+        with pytest.raises(ValueError, match="non-finite"):
+            store.add(Claim("o1", "temp", "a", value, 0.0))
+        assert store.n_objects == 0 and store.n_sources == 0
+        assert store.n_claims() == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replay_with_injected_missing_equals_batch(self, seed):
+        dataset = weather(seed)
+        claims = list(iter_dataset_claims(dataset))
+        # The clean replay's ingest batches, each with missing-valued
+        # claims mixed in: the batch boundaries stay those of replay().
+        batches = [claims[start:start + 64]
+                   for start in range(0, len(claims), 64)]
+        rng = np.random.default_rng(seed)
+        sources = list(dataset.source_ids) + ["ghost"]
+        objects = list(dataset.object_ids) + ["ghost-object"]
+        for _ in range(60):
+            batch = batches[int(rng.integers(len(batches)))]
+            position = int(rng.integers(len(batch) + 1))
+            prop = dataset.schema[int(rng.integers(len(dataset.schema)))]
+            batch.insert(position, Claim(
+                objects[int(rng.integers(len(objects)))], prop.name,
+                sources[int(rng.integers(len(sources)))],
+                None if rng.random() < 0.5 else float("nan"),
+                batch[min(position, len(batch) - 1)].timestamp,
+            ))
+        service = TruthService(dataset.schema, window=1,
+                               codecs=dataset.codecs())
+        for batch in batches:
+            service.ingest(batch)
+        service.flush()
+        assert_same_serving_state(service, icrh(dataset, window=1),
+                                  dataset)
+        assert service.metrics()["missing_claims"] == 60
+        assert service.metrics()["ingested_claims"] == len(claims)
