@@ -8,12 +8,33 @@ the user-facing labels and those codes for one property.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 #: Code used in observation/truth matrices for "no observation".
 MISSING_CODE: int = -1
+
+
+def value_is_missing(value, uses_codec: bool) -> bool:
+    """Whether a claimed ``value`` is the missing cell, never a claim.
+
+    ``None`` and NaN are missing for every property kind — CRH stores
+    both as its missing sentinel and never counts them as a claim.  A
+    continuous ``±inf`` is neither a value nor missing, so it raises
+    ``ValueError`` (callers add where the value came from).  O(1).
+    """
+    if value is None:
+        return True
+    if uses_codec:
+        return isinstance(value, float) and value != value
+    value = float(value)
+    if math.isfinite(value):
+        return False
+    if value != value:
+        return True
+    raise ValueError(f"non-finite value {value!r}")
 
 
 class CategoricalCodec:

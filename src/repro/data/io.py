@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .encoding import CategoricalCodec
+from .encoding import CategoricalCodec, value_is_missing
 from .schema import DatasetSchema, PropertyKind, PropertySchema
 from .table import DatasetBuilder, MultiSourceDataset, TruthTable
 
@@ -75,6 +75,10 @@ def read_records_csv(path: str | Path, schema: DatasetSchema, *,
     ``(K, N)`` matrix is ever allocated, and duplicate ``(source,
     object)`` claims keep the last row, matching the dense builder's
     overwrite semantics.
+
+    Both readers apply the serving layer's missing-value rule: a NaN
+    cell is dropped as if its row were absent, and a continuous
+    ``±inf`` raises ``ValueError`` naming the file, line and property.
     """
     path = Path(path)
     if sparse:
@@ -88,6 +92,8 @@ def read_records_csv(path: str | Path, schema: DatasetSchema, *,
             prop = schema[name]
             raw = row["value"]
             value: object = float(raw) if prop.is_continuous else raw
+            if _cell_is_missing(path, reader, name, value, prop.uses_codec):
+                continue
             ts_text = row.get("timestamp") or ""
             timestamp = int(ts_text) if ts_text else None
             builder.add(row["object_id"], row["source_id"], name, value,
@@ -101,6 +107,17 @@ def _check_record_columns(path: Path, reader: csv.DictReader) -> None:
         raise ValueError(
             f"{path}: record CSV missing columns {sorted(missing)}"
         )
+
+
+def _cell_is_missing(path: Path, reader: csv.DictReader, name: str,
+                     value, uses_codec: bool) -> bool:
+    """:func:`~repro.data.encoding.value_is_missing` for one CSV row,
+    with the row's file, line and property in the error."""
+    try:
+        return value_is_missing(value, uses_codec)
+    except ValueError as error:
+        raise ValueError(f"{path}, line {reader.line_num}: {error} for "
+                         f"property {name!r}") from None
 
 
 def _read_records_sparse(path: Path, schema: DatasetSchema):
@@ -138,6 +155,10 @@ def _read_records_sparse(path: Path, schema: DatasetSchema):
         for row in reader:
             name = row["property"]
             prop = schema[name]
+            raw = row["value"]
+            value = raw if prop.uses_codec else float(raw)
+            if _cell_is_missing(path, reader, name, value, prop.uses_codec):
+                continue
             object_id = row["object_id"]
             i = object_index.get(object_id)
             if i is None:
@@ -148,10 +169,9 @@ def _read_records_sparse(path: Path, schema: DatasetSchema):
             if k is None:
                 k = source_index[source_id] = len(sources)
                 sources.append(source_id)
-            raw = row["value"]
             values, srcs, objs = cells[name]
-            values.append(codecs[name].encode(raw) if prop.uses_codec
-                          else float(raw))
+            values.append(codecs[name].encode(value) if prop.uses_codec
+                          else value)
             srcs.append(k)
             objs.append(i)
             ts_text = row.get("timestamp") or ""

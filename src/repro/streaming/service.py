@@ -29,13 +29,19 @@ Snapshots persist the claim store via the sparse
 :func:`repro.data.io.save_dataset` format (``schema.json`` +
 ``claims.npz`` + ``dataset.json``) plus ``state.npz`` (accumulators,
 weights, history, truth cache) and ``service.json`` (config, window
-bookkeeping, counters).  Restoring canonicalizes the stored claim
-order — deterministic, and documented as part of the format.
+bookkeeping, counters, and each data file's size and SHA-256).
+``service.json`` is removed first and written last, so a writer that
+dies part-way leaves a directory that :meth:`TruthService.restore`
+refuses rather than one that mixes two snapshots.  Restoring
+canonicalizes the stored claim order — deterministic, and documented
+as part of the format.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,33 +66,6 @@ from .icrh import ICRHConfig, IncrementalCRH, losses_for_schema
 from .planner import RecomputePlanner, resolve_truths
 from .state import TruthCache
 from .store import Claim, ClaimStore
-
-
-@dataclass(frozen=True)
-class TruthSnapshot:
-    """One immutable published view of the truth cache.
-
-    Publications are copy-on-write: the column/version arrays are
-    read-only views frozen by
-    :meth:`~repro.streaming.state.TruthCache.publish`, so a reader
-    holding a snapshot sees a consistent truth state forever — later
-    seals and recomputes copy the backing buffers instead of mutating
-    them in place.  ``seq`` increases by one per publication and
-    ``epoch`` records the Algorithm-2 weight epoch the snapshot's
-    freshest truths were resolved under, which is what the torn-read
-    fuzz in ``tests/test_concurrent_serving.py`` checks against.
-    """
-
-    #: monotone publication number (0 is the empty initial snapshot)
-    seq: int
-    #: Algorithm-2 weight epoch at publication time
-    epoch: int
-    #: objects covered by the snapshot (ids registered later are absent)
-    n_objects: int
-    #: read-only truth columns, one per schema property
-    columns: tuple
-    #: read-only per-object resolution epochs (-1 = never resolved)
-    versions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,8 +191,22 @@ def _config_from_dict(data: dict) -> ICRHConfig:
     return ICRHConfig(weight_scheme=scheme, **fields)
 
 
-#: schema version stamped into ``service.json``
-SNAPSHOT_SCHEMA = 1
+#: schema version stamped into ``service.json``; 2 added ``files``
+SNAPSHOT_SCHEMA = 2
+
+#: data files a snapshot writes before ``service.json``, which lists
+#: each one's size and SHA-256
+SNAPSHOT_FILES = ("schema.json", "claims.npz", "dataset.json", "state.npz")
+
+
+def _file_digest(path: Path) -> dict:
+    """Size and SHA-256 of one snapshot file, as ``service.json``
+    records them."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return {"bytes": path.stat().st_size, "sha256": digest.hexdigest()}
 
 
 class TruthService:
@@ -260,10 +253,6 @@ class TruthService:
         #: pending (unsealed) timestamps -> object indices, arrival order
         self._pending: dict[float, list[int]] = {}
         self._sealed_high: float | None = None
-        #: router hook: () -> (weights over store sources, weight epoch);
-        #: installed by ShardedTruthService so shard-local resolution
-        #: runs under the router's *global* Algorithm-2 weights
-        self._external_state = None
         registry = self.registry
         self._c_ingested = registry.counter("ingested_claims")
         self._c_missing = registry.counter("missing_claims")
@@ -272,12 +261,9 @@ class TruthService:
         self._c_read = registry.counter("read_objects")
         self._c_hits = registry.counter("cache_hits")
         self._c_misses = registry.counter("cache_misses")
-        self._c_snapshot_reads = registry.counter("snapshot_reads")
         self._h_ingest = registry.histogram("ingest_seconds")
         self._h_read = registry.histogram("read_seconds")
         self._h_seal = registry.histogram("seal_seconds")
-        self._snapshot: TruthSnapshot | None = None
-        self._publish()
 
     # ------------------------------------------------------------------
     @property
@@ -387,7 +373,6 @@ class TruthService:
         self._c_recomputed.inc(recomputed)
         self._h_ingest.observe(elapsed)
         self._update_gauges()
-        self._publish()
         report = IngestReport(
             ingested_claims=absorbed,
             new_objects=new_objects,
@@ -426,7 +411,6 @@ class TruthService:
                 self._seal(window_ts)
                 sealed += 1
         self._update_gauges()
-        self._publish()
         if self._tracing():
             self.tracer.emit(flush_record(
                 windows_sealed=sealed,
@@ -477,24 +461,15 @@ class TruthService:
         self._store.dirty.clear()
         return plan.n_objects
 
-    def _serving_state(self) -> tuple[np.ndarray, int]:
-        """The weights (over store sources) and epoch resolution runs
-        under: the service's own model, unless a router installed a
-        global-state hook (sharded serving)."""
-        if self._external_state is not None:
-            weights, epoch = self._external_state()
-            return np.asarray(weights, dtype=np.float64), int(epoch)
-        return self._current_weights(), self._model.state.epoch
-
     def _resolve_into_cache(self, indices: np.ndarray, *,
                             plan=None) -> None:
         """Re-resolve ``indices`` under current weights into the cache."""
-        weights, epoch = self._serving_state()
         columns = resolve_truths(self._store, indices,
-                                 weights, self._losses,
+                                 self._current_weights(), self._losses,
                                  plan=plan)
         self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, columns, version=epoch)
+        self._cache.store(indices, columns,
+                          version=self._model.state.epoch)
 
     def recompute_all(self) -> int:
         """Re-resolve *every* object under the current weights.
@@ -509,131 +484,11 @@ class TruthService:
         self._resolve_into_cache(indices)
         self._store.dirty.clear()
         self._update_gauges()
-        self._publish()
         return int(indices.size)
-
-    # ------------------------------------------------------------------
-    # shard-facing API (driven by ShardedTruthService)
-    # ------------------------------------------------------------------
-    def absorb(self, claims: Iterable) -> tuple[int, int]:
-        """Absorb claims into the store *without* window bookkeeping.
-
-        The sharded router owns the global window clock: it decides
-        what seals and when, so a shard only appends claims (marking
-        their objects dirty) and leaves sealing to
-        :meth:`apply_seal` / recomputation to :meth:`drain_dirty`.
-        Returns ``(claims_absorbed, objects_first_seen)``.  The
-        published truth snapshot is *not* advanced — absorbed claims
-        become readable once the router seals or drains.
-        """
-        store = self._store
-        absorbed = 0
-        missing = 0
-        new_objects = 0
-        for item in claims:
-            obj, created = store.add(as_claim(item))
-            if obj < 0:  # missing value, dropped by the store
-                missing += 1
-                continue
-            absorbed += 1
-            if created:
-                new_objects += 1
-        self._c_ingested.inc(absorbed)
-        self._c_missing.inc(missing)
-        return absorbed, new_objects
-
-    def apply_seal(self, object_indices, columns, version: int) -> None:
-        """Install router-computed sealed truths for local objects.
-
-        ``object_indices`` are *this shard's* store indices,
-        ``columns`` the matching rows of the global chunk's truth
-        columns (shared codec space, so categorical codes line up),
-        and ``version`` the global weight epoch of the seal.  The
-        objects leave the dirty set and a fresh truth snapshot is
-        published.
-        """
-        indices = np.asarray(object_indices, dtype=np.int64)
-        self._cache.ensure(self._store.n_objects)
-        self._cache.store(indices, columns, version=int(version))
-        self._store.dirty.difference_update(int(i) for i in indices)
-        self._update_gauges()
-        self._publish()
-
-    def drain_dirty(self) -> int:
-        """Drain this shard's dirty set under the serving weights.
-
-        The sharded-mode equivalent of the recompute pass
-        :meth:`ingest` runs after each batch: resolves every dirty
-        object (through the planner) under :meth:`_serving_state`'s
-        weights — the router's global weights when sharded — and
-        publishes a fresh snapshot.  Returns the objects re-resolved.
-        """
-        recomputed = self._recompute_dirty()
-        self._c_recomputed.inc(recomputed)
-        self._update_gauges()
-        self._publish()
-        return recomputed
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _publish(self) -> None:
-        """Publish the current truth cache as an immutable snapshot.
-
-        Readers pick the snapshot up with one attribute read
-        (:meth:`snapshot_view`); the reference swap is atomic, so
-        :meth:`read_truth` never observes a half-written state.
-        """
-        self._cache.ensure(self._store.n_objects)
-        columns, versions = self._cache.publish()
-        previous = self._snapshot
-        seq = 0 if previous is None else previous.seq + 1
-        _, epoch = self._serving_state()
-        self._snapshot = TruthSnapshot(
-            seq=seq, epoch=epoch, n_objects=int(versions.size),
-            columns=columns, versions=versions,
-        )
-        if self.registry.enabled:
-            self.registry.gauge("snapshot_seq").set(seq)
-
-    def snapshot_view(self) -> TruthSnapshot:
-        """The latest published :class:`TruthSnapshot` (no lock taken)."""
-        return self._snapshot
-
-    def read_truth(self, object_ids: Iterable) -> TruthTable:
-        """Snapshot-isolated truths for ``object_ids`` — never blocks.
-
-        Serves the latest *published* snapshot: one atomic reference
-        read, then pure array indexing against immutable columns, so a
-        concurrent seal or recompute can never tear the result — every
-        value returned belongs to one single publication.  The cost of
-        the isolation: claims absorbed after the last publication are
-        not visible (objects never sealed/resolved read as missing),
-        and ids first seen after it raise ``KeyError`` exactly like
-        unknown ids.  Use :meth:`get_truth` for read-your-writes
-        freshness instead.
-        """
-        snapshot = self._snapshot
-        ids = list(object_ids)
-        index = self._store._object_index
-        indices = np.empty(len(ids), dtype=np.int64)
-        for j, object_id in enumerate(ids):
-            position = index.get(object_id)
-            if position is None or position >= snapshot.n_objects:
-                raise KeyError(
-                    f"object {object_id!r} is not in the published "
-                    f"truth snapshot (seq {snapshot.seq})"
-                )
-            indices[j] = position
-        columns = [column[indices] for column in snapshot.columns]
-        self._c_snapshot_reads.inc(len(ids))
-        return TruthTable(
-            schema=self.schema,
-            object_ids=ids,
-            columns=columns,
-            codecs=self._store.codecs(),
-        )
-
     def get_truth(self, object_ids: Iterable) -> TruthTable:
         """Current truths for ``object_ids`` (cache-served).
 
@@ -663,7 +518,6 @@ class TruthService:
                         self._resolve_into_cache(misses)
                         store.dirty.difference_update(
                             int(i) for i in misses)
-                        self._publish()
                 else:
                     miss_mask = np.zeros(0, dtype=bool)
                 columns = self._cache.columns_at(indices)
@@ -739,7 +593,6 @@ class TruthService:
             "read_objects": int(self._c_read.value),
             "cache_hits": int(self._c_hits.value),
             "cache_misses": int(self._c_misses.value),
-            "snapshot_reads": int(self._c_snapshot_reads.value),
         }
 
     def metrics(self) -> dict:
@@ -768,8 +621,6 @@ class TruthService:
             "cache_hits": hits,
             "cache_misses": totals["cache_misses"],
             "cache_hit_rate": hits / reads if reads else 1.0,
-            "snapshot_reads": totals["snapshot_reads"],
-            "snapshot_seq": self._snapshot.seq,
         }
 
     # ------------------------------------------------------------------
@@ -781,11 +632,17 @@ class TruthService:
         Writes the claim store via the sparse
         :func:`repro.data.io.save_dataset` layout, the numeric state
         (accumulators, weights, history, truth cache) as ``state.npz``,
-        and the bookkeeping (config, window state, counters) as
-        ``service.json``.
+        and the bookkeeping (config, window state, counters, file
+        digests) as ``service.json``.  An older ``service.json`` is
+        unlinked before anything else is written and the new one is
+        moved into place last, so ``directory`` never pairs one
+        snapshot's bookkeeping with another's data.
         """
+        config = _config_to_dict(self.config)  # refuse before writing
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        meta_path = directory / "service.json"
+        meta_path.unlink(missing_ok=True)
         save_dataset(self._store.to_claims_matrix(), directory)
         state = self._model.state
         self._cache.ensure(self._store.n_objects)
@@ -804,7 +661,7 @@ class TruthService:
         meta = {
             "snapshot_schema": SNAPSHOT_SCHEMA,
             "window": self.window,
-            "config": _config_to_dict(self.config),
+            "config": config,
             "n_state_sources": state.n_sources,
             "epoch": state.epoch,
             "chunks_seen": self._model.chunks_seen,
@@ -815,21 +672,42 @@ class TruthService:
                         for stamp, objs in self._pending.items()],
             "dirty": sorted(int(i) for i in self._store.dirty),
             "totals": self._serving_totals(),
+            "files": {name: _file_digest(directory / name)
+                      for name in SNAPSHOT_FILES},
         }
-        (directory / "service.json").write_text(json.dumps(meta, indent=2))
+        staged = directory / "service.json.tmp"
+        staged.write_text(json.dumps(meta, indent=2))
+        os.replace(staged, meta_path)
 
     @classmethod
     def restore(cls, directory, *, tracer: Tracer | None = None,
                 profiler: Profiler | None = None,
                 metrics: MetricsRegistry | None = None) -> "TruthService":
-        """Rebuild a service from a :meth:`snapshot` directory."""
+        """Rebuild a service from a :meth:`snapshot` directory.
+
+        Raises ``ValueError`` naming the file when ``service.json`` or
+        a data file it lists is missing, or a data file's size or
+        SHA-256 differs from the recorded one (a torn or mixed
+        snapshot).
+        """
         directory = Path(directory)
-        meta = json.loads((directory / "service.json").read_text())
+        meta_path = directory / "service.json"
+        if not meta_path.is_file():
+            raise ValueError(f"{meta_path} is missing: {directory} holds "
+                             f"no complete snapshot")
+        meta = json.loads(meta_path.read_text())
         if meta.get("snapshot_schema") != SNAPSHOT_SCHEMA:
             raise ValueError(
                 f"unsupported snapshot_schema "
                 f"{meta.get('snapshot_schema')!r} in {directory}"
             )
+        for name in SNAPSHOT_FILES:
+            path = directory / name
+            if not path.is_file():
+                raise ValueError(f"{path} is missing from the snapshot")
+            if _file_digest(path) != meta["files"][name]:
+                raise ValueError(f"{path} does not match the size and "
+                                 f"SHA-256 recorded in {meta_path}")
         matrix = load_dataset(directory)
         service = cls(
             matrix.schema,
@@ -875,5 +753,4 @@ class TruthService:
         for name, value in meta.get("totals", {}).items():
             service.registry.counter(name).inc(float(value))
         service._update_gauges()
-        service._publish()
         return service

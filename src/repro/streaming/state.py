@@ -218,28 +218,11 @@ class TruthCache:
     def store(self, object_indices: np.ndarray,
               columns: Sequence[np.ndarray], version: int) -> None:
         """Write resolved truth values for ``object_indices`` at
-        weight epoch ``version``.
-
-        Writes go through the columns' copy-on-write path, so views
-        handed out by :meth:`publish` keep their values.
-        """
+        weight epoch ``version``."""
         indices = np.asarray(object_indices)
         for cache_col, values in zip(self._columns, columns):
-            cache_col.writable()[indices] = values
-        self._versions.writable()[indices] = int(version)
-
-    def publish(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Freeze the cache into immutable column/version views.
-
-        Returns ``(columns, versions)`` — read-only views a reader can
-        keep indefinitely: later :meth:`store` writes copy the backing
-        buffers first (copy-on-write), and growth reallocates, so the
-        views never change after publication.  This is what lets
-        :meth:`repro.streaming.service.TruthService.read_truth` serve
-        truths without taking any lock.
-        """
-        return (tuple(col.freeze_view() for col in self._columns),
-                self._versions.freeze_view())
+            cache_col.data[indices] = values
+        self._versions.data[indices] = int(version)
 
     def columns_at(self, object_indices: np.ndarray) -> list[np.ndarray]:
         """Cached truth columns for ``object_indices`` (copies)."""
@@ -255,9 +238,9 @@ class TruthCache:
         """Bulk-restore cached columns and versions from a snapshot."""
         versions = np.asarray(versions, dtype=np.int64)
         self.ensure(int(versions.size))
-        self._versions.writable()[:versions.size] = versions
+        self._versions.data[:versions.size] = versions
         for cache_col, values in zip(self._columns, columns):
-            cache_col.writable()[:len(values)] = values
+            cache_col.data[:len(values)] = values
 
     def all_versions(self) -> np.ndarray:
         """The whole version vector (copy), for snapshotting."""

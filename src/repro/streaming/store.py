@@ -28,13 +28,12 @@ matching :class:`~repro.data.table.DatasetBuilder` overwrite semantics.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..data.claims_matrix import ClaimsMatrix, PropertyClaims
-from ..data.encoding import MISSING_CODE, CategoricalCodec
+from ..data.encoding import MISSING_CODE, CategoricalCodec, value_is_missing
 from ..data.schema import DatasetSchema
 
 
@@ -53,31 +52,6 @@ class Claim(NamedTuple):
     timestamp: float
 
 
-def claim_value_is_missing(claim: Claim, uses_codec: bool) -> bool:
-    """Whether ``claim`` carries no value, the serving-side missing cell.
-
-    ``None`` and NaN are missing for every property kind — batch CRH
-    stores both as its missing sentinel and never counts them as a
-    claim.  A continuous ``±inf`` is neither a value nor missing, so it
-    raises ``ValueError``.  O(1) per claim.
-    """
-    value = claim.value
-    if value is None:
-        return True
-    if uses_codec:
-        return isinstance(value, float) and value != value
-    value = float(value)
-    if math.isfinite(value):
-        return False
-    if value != value:
-        return True
-    raise ValueError(
-        f"non-finite value {claim.value!r} for property "
-        f"{claim.property_name!r} of object {claim.object_id!r} from "
-        f"source {claim.source_id!r}"
-    )
-
-
 class GrowableArray:
     """Append-only numpy array with amortized doubling growth.
 
@@ -94,11 +68,8 @@ class GrowableArray:
         self._fill = fill
         self._buf = np.full(max(int(capacity), 1), fill, dtype=self._dtype)
         self._n = 0
-        self._shared = False
         #: number of buffer reallocations performed so far
         self.growth_events = 0
-        #: copy-on-write buffer copies forced by :meth:`writable`
-        self.cow_copies = 0
 
     def __len__(self) -> int:
         return self._n
@@ -106,34 +77,6 @@ class GrowableArray:
     @property
     def data(self) -> np.ndarray:
         """View of the live prefix (no copy; invalidated by growth)."""
-        return self._buf[:self._n]
-
-    def freeze_view(self) -> np.ndarray:
-        """A read-only view of the live prefix, stable under later writes.
-
-        Marks the buffer *shared*: appends beyond the frozen length stay
-        invisible to the view, and any later in-place mutation must go
-        through :meth:`writable`, which copies the buffer first.  This
-        is the copy-on-write primitive behind lock-free truth-snapshot
-        reads — a frozen view never observes a torn write.
-        """
-        view = self._buf[:self._n]
-        view.flags.writeable = False
-        self._shared = True
-        return view
-
-    def writable(self) -> np.ndarray:
-        """The live prefix for in-place mutation, copying if shared.
-
-        While no :meth:`freeze_view` is outstanding this is exactly
-        :attr:`data`; after one, the first mutation pays a single buffer
-        copy (counted in :attr:`cow_copies`) so published views keep
-        their values.
-        """
-        if self._shared:
-            self._buf = self._buf.copy()
-            self._shared = False
-            self.cow_copies += 1
         return self._buf[:self._n]
 
     def _reserve(self, extra: int) -> None:
@@ -147,7 +90,6 @@ class GrowableArray:
         grown = np.full(capacity, self._fill, dtype=self._dtype)
         grown[:self._n] = self._buf[:self._n]
         self._buf = grown
-        self._shared = False
         self.growth_events += 1
 
     def append(self, value) -> int:
@@ -277,8 +219,9 @@ class ClaimStore:
         claim's (later claims never move an object between windows).
         A claim whose value is missing (``None`` or NaN) is dropped the
         way batch CRH drops a missing cell: the store is left untouched
-        and ``(-1, False)`` is returned.  A continuous ``±inf`` raises ``ValueError`` before
-        anything is stored.
+        and ``(-1, False)`` is returned.  A continuous ``±inf`` raises
+        ``ValueError`` before anything is stored (the rule is
+        :func:`repro.data.encoding.value_is_missing`).
         """
         m = self._prop_index.get(claim.property_name)
         if m is None:
@@ -287,8 +230,14 @@ class ClaimStore:
                 f"{list(self._prop_index)}"
             )
         codec = self._codecs.get(claim.property_name)
-        if claim_value_is_missing(claim, codec is not None):
-            return -1, False
+        try:
+            if value_is_missing(claim.value, codec is not None):
+                return -1, False
+        except ValueError as error:
+            raise ValueError(
+                f"{error} for property {claim.property_name!r} of object "
+                f"{claim.object_id!r} from source {claim.source_id!r}"
+            ) from None
         value = (codec.encode(claim.value) if codec is not None
                  else float(claim.value))
         source = self.source_position(claim.source_id)

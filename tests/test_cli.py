@@ -4,8 +4,6 @@ import json
 import re
 from collections import Counter
 
-import pytest
-
 from repro.baselines import PAPER_METHOD_ORDER
 from repro.cli import _EXPERIMENTS, build_parser, main
 
@@ -99,12 +97,10 @@ class TestServeSim:
         assert (snap / "service.json").exists()
         assert (snap / "claims.npz").exists()
 
-    @pytest.mark.parametrize("topology", [[], ["--shards", "2"]])
-    def test_trace_summary_counts_flush_seals(self, capsys, tmp_path,
-                                              topology):
+    def test_trace_summary_counts_flush_seals(self, capsys, tmp_path):
         trace = tmp_path / "serve.jsonl"
         assert main(["serve-sim", "--cities", "4", "--days", "12",
-                     "--trace", str(trace), *topology]) == 0
+                     "--trace", str(trace)]) == 0
         sealed = re.search(r"sealed (\d+) windows",
                            capsys.readouterr().out).group(1)
         assert main(["trace", "summarize", str(trace)]) == 0

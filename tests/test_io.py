@@ -179,6 +179,61 @@ class TestSparseIO:
         view = sparse.properties[0].claim_view()
         assert view.values.tolist() == [2.5]
 
+    def test_nan_cells_read_the_same_dense_and_sparse(self, tmp_path):
+        """A NaN cell is the missing cell for both readers: dropped as
+        if its row were absent, so a source or object seen only in NaN
+        rows is never registered."""
+        from repro.data import ClaimsMatrix, DatasetSchema, categorical, \
+            continuous
+
+        schema = DatasetSchema.of(continuous("temp"), categorical("sky"))
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "object_id,source_id,property,value,timestamp\n"
+            "o0,s0,temp,1.0,0\n"
+            "o0,s1,temp,nan,0\n"
+            "o0,s2,temp,1.5,0\n"
+            "o1,s0,temp,2.0,1\n"
+            "o1,s1,temp,2.5,1\n"
+            "o1,s1,sky,nan,1\n"
+            "o2,s3,temp,NaN,2\n"
+            "o1,s2,sky,rain,1\n"
+        )
+        dense = ClaimsMatrix.from_dense(read_records_csv(path, schema))
+        sparse = read_records_csv(path, schema, sparse=True)
+        # s1's first row is a NaN, so s2 registers before it
+        assert list(sparse.source_ids) == list(dense.source_ids) == \
+            ["s0", "s2", "s1"]
+        assert list(sparse.object_ids) == list(dense.object_ids) == \
+            ["o0", "o1"]
+        assert sparse.n_claims() == dense.n_claims() == 6
+        for mine, theirs in zip(sparse.properties, dense.properties):
+            a, b = mine.claim_view(), theirs.claim_view()
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.source_idx, b.source_idx)
+            assert np.array_equal(a.indptr, b.indptr)
+        assert sparse.codecs()["sky"].labels == ("nan", "rain")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_cells_raise_the_same_error(self, tmp_path, cell):
+        from repro.data import DatasetSchema, continuous
+
+        schema = DatasetSchema.of(continuous("temp"))
+        path = tmp_path / "inf.csv"
+        path.write_text(
+            "object_id,source_id,property,value\n"
+            "o0,s0,temp,1.0\n"
+            f"o0,s1,temp,{cell}\n"
+        )
+        messages = []
+        for sparse in (False, True):
+            with pytest.raises(ValueError, match="non-finite") as excinfo:
+                read_records_csv(path, schema, sparse=sparse)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert str(path) in messages[0]
+        assert "line 3" in messages[0] and "'temp'" in messages[0]
+
     def test_sparse_csv_rejects_text_schema(self, tmp_path):
         from repro.data import DatasetSchema
         from repro.data.schema import text

@@ -232,26 +232,35 @@ class TestServingTotals:
         assert flushes[0]["windows_sealed"] == 1
         assert flushes[0]["elapsed_seconds"] >= 0
 
-    def test_sharded_totals_match_the_router_counter(self):
-        from repro.data import DatasetSchema, continuous
-        from repro.streaming import Claim, ShardedTruthService
+    def test_v5_records_with_router_fields_still_summarize(
+            self, tmp_path, capsys):
+        """Schema-v5 traces carried the removed router's ``n_shards`` /
+        ``ingest_mode`` on ``ingest``/``flush`` lines; the report and
+        ``repro trace summarize`` must still total them."""
+        from repro.cli import main
 
-        tracer = MemoryTracer()
-        with ShardedTruthService(DatasetSchema.of(continuous("p0")),
-                                 n_shards=2, window=1,
-                                 tracer=tracer) as service:
-            for batch in range(3):
-                service.ingest([
-                    Claim(batch * 4 + i % 4, "p0", f"s{i % 3}", float(i),
-                          float(batch))
-                    for i in range(6)
-                ])
-            service.flush()
-            metrics = service.metrics()
-        totals = RunReport.from_records(tracer.records).serving_totals()
-        assert totals["windows_sealed"] == metrics["windows_sealed"] == 3
-        (flush,) = tracer.events("flush")
-        assert flush["n_shards"] == 2 and flush["windows_sealed"] == 1
+        lines = [
+            '{"event": "ingest", "v": 5, "ingested_claims": 12, '
+            '"new_objects": 4, "new_sources": 3, "windows_sealed": 2, '
+            '"dirty_objects": 4, "recomputed_objects": 1, '
+            '"elapsed_seconds": 0.01, "n_shards": 2, '
+            '"ingest_mode": "threads"}',
+            '{"event": "flush", "v": 5, "windows_sealed": 1, '
+            '"elapsed_seconds": 0.001, "n_shards": 2, '
+            '"ingest_mode": "threads"}',
+        ]
+        path = tmp_path / "v5.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        totals = RunReport.from_records(
+            [json.loads(line) for line in lines]).serving_totals()
+        assert totals["ingest_batches"] == 1
+        assert totals["ingested_claims"] == 12
+        assert totals["windows_sealed"] == 3
+        assert totals["recomputed_objects"] == 1
+        assert main(["trace", "summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert ("serving: 12 claim(s) ingested over 1 batch(es), "
+                "3 window(s) sealed") in out
 
     def test_summary_renders_the_serving_line(self):
         _, tracer = self._traced_service()

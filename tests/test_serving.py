@@ -12,6 +12,9 @@ The two load-bearing guarantees are fuzzed here:
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from repro.streaming import (
     icrh,
     iter_dataset_claims,
 )
+from repro.streaming.service import SNAPSHOT_FILES
 
 
 def replay(dataset, window=1, batch=64, **kwargs) -> TruthService:
@@ -332,6 +336,93 @@ class TestSnapshotRestore:
         service.flush()
         with pytest.raises(ValueError, match="weight scheme"):
             service.snapshot(tmp_path / "snap")
+
+
+class _WriterKilled(Exception):
+    """Stands in for the snapshot writer's process dying."""
+
+
+def _kill_writer_after(monkeypatch, n_writes: int) -> None:
+    """Let ``n_writes`` file writes finish, then kill the writer at the
+    next one (``write_text``, ``np.savez`` and ``os.replace`` each count
+    as one write)."""
+    done = [0]
+
+    def wrap(write):
+        def killed_or_written(*args, **kwargs):
+            if done[0] == n_writes:
+                raise _WriterKilled
+            result = write(*args, **kwargs)
+            done[0] += 1
+            return result
+        return killed_or_written
+
+    monkeypatch.setattr(Path, "write_text", wrap(Path.write_text))
+    monkeypatch.setattr(np, "savez", wrap(np.savez))
+    monkeypatch.setattr(os, "replace", wrap(os.replace))
+
+
+def _served(service) -> dict:
+    """Everything a restored service answers with."""
+    return {
+        "object_ids": service.object_ids,
+        "source_ids": service.source_ids,
+        "weights": service.get_weights().tolist(),
+        "columns": [column.tolist() for column in
+                    service.get_truth(service.object_ids).columns],
+        "metrics": service.metrics(),
+    }
+
+
+class TestTornSnapshot:
+    """A snapshot written over an older one restores whole or not at
+    all, wherever its writer dies."""
+
+    def test_killed_writer_never_mixes_two_snapshots(self, monkeypatch,
+                                                     tmp_path):
+        dataset = weather(seed=3)
+        claims = list(iter_dataset_claims(dataset))
+        older = TruthService(dataset.schema, window=2,
+                             codecs=dataset.codecs())
+        older.ingest(claims[:len(claims) // 3])
+        older.flush()
+        newer = replay(dataset, window=2)
+        completed = False
+        n_writes = 0
+        while not completed:
+            directory = tmp_path / f"snap{n_writes}"
+            older.snapshot(directory)
+            with monkeypatch.context() as patch:
+                _kill_writer_after(patch, n_writes)
+                try:
+                    newer.snapshot(directory)
+                    completed = True
+                except _WriterKilled:
+                    pass
+            if completed:
+                assert _served(TruthService.restore(directory)) == \
+                    _served(newer)
+            else:
+                with pytest.raises(ValueError, match=r"\.(json|npz)"):
+                    TruthService.restore(directory)
+            n_writes += 1
+        assert n_writes > len(SNAPSHOT_FILES)
+
+    @pytest.mark.parametrize("name", SNAPSHOT_FILES)
+    def test_damaged_file_is_named(self, small_weather, tmp_path, name):
+        service = replay(small_weather.dataset, window=2)
+        service.snapshot(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=name):
+            TruthService.restore(tmp_path)
+        path.unlink()
+        with pytest.raises(ValueError, match=f"{name} is missing"):
+            TruthService.restore(tmp_path)
+
+    def test_directory_without_service_json_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="service.json is missing"):
+            TruthService.restore(tmp_path)
 
 
 class TestObservability:
